@@ -75,9 +75,7 @@ Variable SliceTimeOp(const Variable& x, int64_t t) {
   Tensor out = dar::SliceTime(x.value(), t);
   auto pn = x.node();
   return MakeOpResult("slice_time", std::move(out), {pn}, [pn, t](Node& n) {
-    Tensor g(pn->value.shape());
-    SetTime(g, t, n.grad);
-    pn->AccumulateGrad(g);
+    pn->AccumulateGradTimeStep(t, n.grad);
   });
 }
 

@@ -25,15 +25,30 @@ bool ClaimTapeNode(Node* n, uint32_t token, const char* what) {
   return false;
 }
 
+/// Allocates `n`'s zeroed gradient on its first accumulation.
+void EnsureGrad(Node& n) {
+  if (n.grad.numel() != n.value.numel() || n.grad.shape() != n.value.shape()) {
+    n.grad = Tensor(n.value.shape());
+  }
+}
+
 }  // namespace
 
 void Node::AccumulateGrad(const Tensor& g) {
   DAR_CHECK_MSG(g.shape() == value.shape(), "gradient shape mismatch");
-  if (grad.numel() != value.numel() || grad.shape() != value.shape()) {
-    grad = Tensor(value.shape());
-  }
+  EnsureGrad(*this);
   ++grad_visits;
   AddInPlace(grad, g);
+}
+
+// Bit-identical to the dense form: outside step t the dense form adds +0,
+// which leaves every value unchanged except -0. A gradient buffer never
+// holds -0 — it starts at +0 and only ever receives sums, and a
+// round-to-nearest sum is -0 only when both addends are.
+void Node::AccumulateGradTimeStep(int64_t t, const Tensor& step) {
+  EnsureGrad(*this);
+  ++grad_visits;
+  AddTimeInPlace(grad, t, step);
 }
 
 Variable::Variable(Tensor value, bool requires_grad)

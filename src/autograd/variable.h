@@ -74,6 +74,13 @@ struct Node {
 
   /// Accumulates `g` into this node's gradient (allocates on first use).
   void AccumulateGrad(const Tensor& g);
+
+  /// Accumulates `step` ([B, D]) into time step t of this [B, T, D] node's
+  /// gradient: the same sum AccumulateGrad of a dense [B, T, D] tensor that
+  /// is zero outside step t would leave, bit for bit, at O(B·D) rather
+  /// than O(B·T·D) cost. Allocates on first use and counts one visit,
+  /// exactly like AccumulateGrad, so GraphAudit's fan-in check holds.
+  void AccumulateGradTimeStep(int64_t t, const Tensor& step);
 };
 
 /// A differentiable value: shared handle to a graph Node.

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/gru_cell.h"
 #include "obs/trace.h"
 #include "tensor/check.h"
 #include "tensor/fastmath.h"
@@ -22,33 +23,91 @@ Tensor MaskColumn(const Tensor& valid, int64_t t) {
   return out;
 }
 
+/// Row loops of the fused cell, templated on masking so the loop-invariant
+/// mask branch leaves the inner loop. `__restrict` plus the file's
+/// -fno-trapping-math (src/CMakeLists.txt) let GCC vectorize both loops,
+/// FastExp included; the expressions are those of the scalar loop they
+/// replaced, so the bits are unchanged (tests/nn_gru_test.cc).
+template <bool kMasked>
+void ForwardRows(const float* __restrict p, const float* __restrict q,
+                 const float* __restrict h, const float* __restrict mask,
+                 int64_t b, int64_t hd, float* __restrict z,
+                 float* __restrict r, float* __restrict n,
+                 float* __restrict out) {
+  for (int64_t i = 0; i < b; ++i) {
+    const float* __restrict prow = p + i * 3 * hd;
+    const float* __restrict qrow = q + i * 3 * hd;
+    const float* __restrict hrow = h + i * hd;
+    const float mi = kMasked ? mask[i] : 1.0f;
+    const float inv_mi = 1.0f - mi;
+    float* __restrict zrow = z + i * hd;
+    float* __restrict rrow = r + i * hd;
+    float* __restrict nrow = n + i * hd;
+    float* __restrict orow = out + i * hd;
+    for (int64_t j = 0; j < hd; ++j) {
+      const float zv = fastmath::FastSigmoid(prow[j] + qrow[j]);
+      const float rv = fastmath::FastSigmoid(prow[hd + j] + qrow[hd + j]);
+      const float nv =
+          fastmath::FastTanh(prow[2 * hd + j] + rv * qrow[2 * hd + j]);
+      const float hprime = (1.0f - zv) * nv + zv * hrow[j];
+      zrow[j] = zv;
+      rrow[j] = rv;
+      nrow[j] = nv;
+      orow[j] = kMasked ? mi * hprime + inv_mi * hrow[j] : hprime;
+    }
+  }
+}
+
+template <bool kMasked>
+void BackwardRows(const float* __restrict g, const float* __restrict z,
+                  const float* __restrict r, const float* __restrict n,
+                  const float* __restrict q, const float* __restrict h,
+                  const float* __restrict mask, int64_t b, int64_t hd,
+                  float* __restrict dp, float* __restrict dq,
+                  float* __restrict dh) {
+  for (int64_t i = 0; i < b; ++i) {
+    const float* __restrict grow = g + i * hd;
+    const float* __restrict zrow = z + i * hd;
+    const float* __restrict rrow = r + i * hd;
+    const float* __restrict nrow = n + i * hd;
+    const float* __restrict q2row = q + i * 3 * hd + 2 * hd;
+    const float* __restrict hrow = h + i * hd;
+    const float mi = kMasked ? mask[i] : 1.0f;
+    float* __restrict dprow = dp + i * 3 * hd;
+    float* __restrict dqrow = dq + i * 3 * hd;
+    float* __restrict dhrow = dh + i * hd;
+    for (int64_t j = 0; j < hd; ++j) {
+      const float gv = grow[j];
+      const float gm = gv * mi;
+      const float zv = zrow[j], rv = rrow[j], nv = nrow[j];
+      const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
+      const float ds_r = dt * q2row[j] * rv * (1.0f - rv);
+      const float ds_z = gm * (hrow[j] - nv) * zv * (1.0f - zv);
+      dprow[j] = ds_z;
+      dprow[hd + j] = ds_r;
+      dprow[2 * hd + j] = dt;
+      dqrow[j] = ds_z;
+      dqrow[hd + j] = ds_r;
+      dqrow[2 * hd + j] = dt * rv;
+      dhrow[j] = gm * zv + gv * (1.0f - mi);
+    }
+  }
+}
+
 /// Fused GRU cell: one op node in place of the ~12 slice/activation/
 /// arithmetic nodes the recurrence used to record per timestep. The two
 /// projections stay ordinary MatMuls (they ride the packed GEMM kernel);
 /// this op fuses everything after them — gates, candidate, state blend,
 /// and the optional padding freeze — into a single pass over [B, H].
 ///
-/// Forward, for gate layout [z | r | n] in the 3H projections:
-///   z = sigmoid(p[:, 0H:1H] + q[:, 0H:1H])
-///   r = sigmoid(p[:, 1H:2H] + q[:, 1H:2H])
-///   n = tanh  (p[:, 2H:3H] + r  * q[:, 2H:3H])
-///   h' = (1 - z) * n + z * h
-///   out = mask * h' + (1 - mask) * h        (mask == nullptr: out = h')
-///
-/// The formulas — including FastSigmoid/FastTanh (tensor/fastmath.h) —
-/// are expression-for-expression the composition this replaced; the only
-/// permitted divergence is FP contraction within the fused expressions.
+/// The formulas (nn/gru_cell.h) — including FastSigmoid/FastTanh
+/// (tensor/fastmath.h) — are expression-for-expression the composition
+/// this replaced; the only permitted divergence is FP contraction within
+/// the fused expressions.
 /// There is exactly one implementation, so every consumer (training,
 /// serving, cached and uncached paths, all replica counts) sees identical
-/// bits — which is what the differential harnesses certify.
-///
-/// Backward (g = d out): with gm = g * mask (or g when unmasked),
-///   dh  = gm * z + g * (1 - mask)
-///   dn  = gm * (1 - z);        dt   = dn * (1 - n^2)
-///   dp2 = dt;                  dq2  = dt * r;   dr = dt * q2
-///   dp1 = dq1 = dr * r * (1 - r)
-///   dz  = gm * (h - n);        dp0  = dq0 = dz * z * (1 - z)
-/// Certified by gradcheck in tests/nn_gru_test.cc and tests/gemm_test.cc.
+/// bits — which is what the differential harnesses certify. Gradients are
+/// certified by gradcheck in tests/nn_gru_test.cc and tests/gemm_test.cc.
 ag::Variable GruCell(const ag::Variable& p, const ag::Variable& q,
                      const ag::Variable& h, const Tensor* mask) {
   const Tensor& pv = p.value();
@@ -65,36 +124,9 @@ ag::Variable GruCell(const ag::Variable& p, const ag::Variable& q,
   // the node when no input requires grad — inference stays light).
   Tensor z(Shape{b, hd}), r(Shape{b, hd}), n(Shape{b, hd});
   Tensor out = Tensor::Scratch(Shape{b, hd});
-  const float* pp = pv.data();
-  const float* pq = qv.data();
-  const float* ph = hv.data();
-  const float* pm = mask != nullptr ? mask->data() : nullptr;
-  float* pz = z.data();
-  float* pr = r.data();
-  float* pn = n.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < b; ++i) {
-    const float* prow = pp + i * 3 * hd;
-    const float* qrow = pq + i * 3 * hd;
-    const float* hrow = ph + i * hd;
-    const float mi = pm != nullptr ? pm[i] : 1.0f;
-    const float inv_mi = 1.0f - mi;
-    float* zrow = pz + i * hd;
-    float* rrow = pr + i * hd;
-    float* nrow = pn + i * hd;
-    float* orow = po + i * hd;
-    for (int64_t j = 0; j < hd; ++j) {
-      const float zv = fastmath::FastSigmoid(prow[j] + qrow[j]);
-      const float rv = fastmath::FastSigmoid(prow[hd + j] + qrow[hd + j]);
-      const float nv =
-          fastmath::FastTanh(prow[2 * hd + j] + rv * qrow[2 * hd + j]);
-      const float hprime = (1.0f - zv) * nv + zv * hrow[j];
-      zrow[j] = zv;
-      rrow[j] = rv;
-      nrow[j] = nv;
-      orow[j] = pm != nullptr ? mi * hprime + inv_mi * hrow[j] : hprime;
-    }
-  }
+  GruCellForwardRows(pv.data(), qv.data(), hv.data(),
+                     mask != nullptr ? mask->data() : nullptr, b, hd,
+                     z.data(), r.data(), n.data(), out.data());
 
   auto np = p.node();
   auto nq = q.node();
@@ -105,43 +137,10 @@ ag::Variable GruCell(const ag::Variable& p, const ag::Variable& q,
                    n = std::move(n), mask_copy = std::move(mask_copy), masked,
                    b, hd](ag::Node& node) {
     Tensor dp(Shape{b, 3 * hd}), dq(Shape{b, 3 * hd}), dh(Shape{b, hd});
-    const float* pg = node.grad.data();
-    const float* pz = z.data();
-    const float* pr = r.data();
-    const float* pn = n.data();
-    const float* pq2 = nq->value.data();
-    const float* ph = nh->value.data();
-    const float* pm = masked ? mask_copy.data() : nullptr;
-    float* pdp = dp.data();
-    float* pdq = dq.data();
-    float* pdh = dh.data();
-    for (int64_t i = 0; i < b; ++i) {
-      const float* grow = pg + i * hd;
-      const float* zrow = pz + i * hd;
-      const float* rrow = pr + i * hd;
-      const float* nrow = pn + i * hd;
-      const float* q2row = pq2 + i * 3 * hd + 2 * hd;
-      const float* hrow = ph + i * hd;
-      const float mi = pm != nullptr ? pm[i] : 1.0f;
-      float* dprow = pdp + i * 3 * hd;
-      float* dqrow = pdq + i * 3 * hd;
-      float* dhrow = pdh + i * hd;
-      for (int64_t j = 0; j < hd; ++j) {
-        const float g = grow[j];
-        const float gm = g * mi;
-        const float zv = zrow[j], rv = rrow[j], nv = nrow[j];
-        const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
-        const float ds_r = dt * q2row[j] * rv * (1.0f - rv);
-        const float ds_z = gm * (hrow[j] - nv) * zv * (1.0f - zv);
-        dprow[j] = ds_z;
-        dprow[hd + j] = ds_r;
-        dprow[2 * hd + j] = dt;
-        dqrow[j] = ds_z;
-        dqrow[hd + j] = ds_r;
-        dqrow[2 * hd + j] = dt * rv;
-        dhrow[j] = gm * zv + g * (1.0f - mi);
-      }
-    }
+    GruCellBackwardRows(node.grad.data(), z.data(), r.data(), n.data(),
+                        nq->value.data(), nh->value.data(),
+                        masked ? mask_copy.data() : nullptr, b, hd, dp.data(),
+                        dq.data(), dh.data());
     if (np->requires_grad) np->AccumulateGrad(dp);
     if (nq->requires_grad) nq->AccumulateGrad(dq);
     if (nh->requires_grad) nh->AccumulateGrad(dh);
@@ -151,6 +150,27 @@ ag::Variable GruCell(const ag::Variable& p, const ag::Variable& q,
 }
 
 }  // namespace
+
+void GruCellForwardRows(const float* p, const float* q, const float* h,
+                        const float* mask, int64_t b, int64_t hd, float* z,
+                        float* r, float* n, float* out) {
+  if (mask != nullptr) {
+    ForwardRows<true>(p, q, h, mask, b, hd, z, r, n, out);
+  } else {
+    ForwardRows<false>(p, q, h, nullptr, b, hd, z, r, n, out);
+  }
+}
+
+void GruCellBackwardRows(const float* g, const float* z, const float* r,
+                         const float* n, const float* q, const float* h,
+                         const float* mask, int64_t b, int64_t hd, float* dp,
+                         float* dq, float* dh) {
+  if (mask != nullptr) {
+    BackwardRows<true>(g, z, r, n, q, h, mask, b, hd, dp, dq, dh);
+  } else {
+    BackwardRows<false>(g, z, r, n, q, h, nullptr, b, hd, dp, dq, dh);
+  }
+}
 
 Gru::Gru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng, bool reverse)
     : input_dim_(input_dim), hidden_dim_(hidden_dim), reverse_(reverse) {

@@ -9,6 +9,7 @@
 #define DAR_TENSOR_FASTMATH_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -19,7 +20,10 @@ namespace fastmath {
 // degree-5 polynomial), |relative error| < 2e-7 across the clamped range.
 // Plain arithmetic end to end, so elementwise sigmoid/tanh loops
 // auto-vectorize instead of calling scalar libm — those kernels run
-// hundreds of thousands of libm calls per batched forward otherwise.
+// hundreds of thousands of libm calls per batched forward otherwise. GCC
+// vectorizes the clamp and the floor only without -ftrapping-math, so the
+// files whose loops call this build with -fno-trapping-math
+// (src/CMakeLists.txt); NaN maps to e^-87 either way.
 inline float FastExp(float x) {
   x = std::min(88.0f, std::max(-87.0f, x));
   float z = std::floor(x * 1.44269504089f + 0.5f);  // round(x / ln 2)

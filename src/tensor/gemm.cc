@@ -439,20 +439,18 @@ void GemmSmallTA(int64_t m, int64_t n, int64_t k, const float* a,
 
 void GemmSmallTB(int64_t m, int64_t n, int64_t k, const float* a,
                  const float* b, float* c) {
-  // Row-dot-row; the k loop is a serial fma dependence the compiler cannot
-  // re-associate, preserving the chain.
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = crow[j];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc = std::fma(arow[kk], brow[kk], acc);
-      }
-      crow[j] = acc;
-    }
+  // B ([n, k]) is transposed into a per-thread [k, n] buffer so the
+  // vectorized i-k-j loop runs: a row-dot-row loop is one serial fma chain
+  // per element and latency-bound at these sizes. Every element still
+  // accumulates its products in ascending k, so the bits are unchanged.
+  thread_local std::vector<float> t_trans_b;
+  t_trans_b.resize(static_cast<size_t>(k * n));
+  float* bt = t_trans_b.data();
+  for (int64_t j = 0; j < n; ++j) {
+    const float* brow = b + j * k;
+    for (int64_t kk = 0; kk < k; ++kk) bt[kk * n + j] = brow[kk];
   }
+  GemmSmallNN(m, n, k, a, bt, c);
 }
 
 }  // namespace

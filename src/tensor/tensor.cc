@@ -1,5 +1,9 @@
 #include "tensor/tensor.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -9,6 +13,28 @@
 #include "tensor/check.h"
 
 namespace dar {
+
+namespace {
+
+// Allocator policy, applied once before main(). A training step allocates
+// and frees tensors of many sizes. Under glibc's defaults, blocks past the
+// mmap threshold are mapped and unmapped on every use, and the heap top is
+// trimmed and regrown as frees coalesce there, so every step faults the
+// same pages in again. Serving blocks up to glibc's 32 MiB mmap maximum
+// from the heap, and trimming only past 256 MiB free, makes the heap a
+// steady pool: after its first peak the process keeps that memory
+// resident. Setting either value turns glibc's dynamic thresholds off, so
+// both are set. The return values are not checked: sanitizer runtimes
+// intercept mallopt and return 0.
+[[maybe_unused]] const bool kAllocatorPolicy = [] {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
+  return true;
+}();
+
+}  // namespace
 
 int64_t NumElements(const Shape& shape) {
   int64_t n = 1;

@@ -360,6 +360,22 @@ void SetTime(Tensor& x, int64_t t, const Tensor& step) {
   }
 }
 
+void AddTimeInPlace(Tensor& x, int64_t t, const Tensor& step) {
+  DAR_CHECK_EQ(x.dim(), 3);
+  DAR_CHECK_EQ(step.dim(), 2);
+  int64_t b = x.size(0), time = x.size(1), d = x.size(2);
+  DAR_CHECK(t >= 0 && t < time);
+  DAR_CHECK_EQ(step.size(0), b);
+  DAR_CHECK_EQ(step.size(1), d);
+  float* px = x.data();
+  const float* ps = step.data();
+  for (int64_t i = 0; i < b; ++i) {
+    float* dst = px + (i * time + t) * d;
+    const float* src = ps + i * d;
+    for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
+  }
+}
+
 float Norm2(const Tensor& a) {
   double acc = 0.0;
   const float* pa = a.data();

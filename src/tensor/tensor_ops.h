@@ -108,6 +108,9 @@ Tensor SliceTime(const Tensor& x, int64_t t);
 /// Writes [batch, dim] into time-step t of [batch, time, dim].
 void SetTime(Tensor& x, int64_t t, const Tensor& step);
 
+/// Adds [batch, dim] into time-step t of [batch, time, dim] in place.
+void AddTimeInPlace(Tensor& x, int64_t t, const Tensor& step);
+
 /// Frobenius norm.
 float Norm2(const Tensor& a);
 

@@ -136,6 +136,17 @@ std::vector<OpCase> AllOpCases() {
     Variable y = SliceTimeOp(v[0], 1);
     return Sum(Mul(y, y));
   });
+  // Every step sliced, one of them twice: the per-step gradients land in
+  // distinct and in shared time slices of the one parent gradient.
+  add("slice_time_every_step", {{2, 4, 3}, {2, 3}},
+      [](const std::vector<Variable>& v) {
+        Variable y = Mul(SliceTimeOp(v[0], 2), v[1]);
+        for (int64_t t = 0; t < 4; ++t) {
+          Variable s = SliceTimeOp(v[0], t);
+          y = Add(y, Mul(s, s));
+        }
+        return Sum(y);
+      });
   add("stack_time", {{2, 2}, {2, 2}}, [](const std::vector<Variable>& v) {
     Variable y = StackTimeOp({v[0], v[1]});
     return Sum(Mul(y, y));

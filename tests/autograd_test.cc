@@ -1,11 +1,14 @@
 // Tests for the autograd engine (variable.h + ops.h): graph mechanics,
 // known analytic gradients, gradient-flow control.
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "tensor/random.h"
 #include "tensor/tensor_ops.h"
 
 namespace dar {
@@ -215,6 +218,45 @@ TEST(OpsTest, SliceStackTimeRoundTrip) {
   EXPECT_TRUE(y.value().AllClose(x.value()));
   Sum(y).Backward();
   EXPECT_TRUE(x.grad().AllClose(Tensor(Shape{2, 3, 1}, 1.0f)));
+}
+
+// SliceTimeOp's backward adds each step's gradient straight into its time
+// slice (Node::AccumulateGradTimeStep). Differential test against the dense
+// form it replaced — a zeroed [B, T, D] tensor holding the step, added
+// whole — over repeated slices, interleaved dense accumulations, signed
+// zeros and non-finite values: the bits and the visit count must agree.
+TEST(OpsTest, TimeStepGradMatchesDenseAccumulationBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float special[] = {0.0f, -0.0f, inf, -inf,
+                           std::numeric_limits<float>::quiet_NaN(), 1e-40f,
+                           -1e-40f, 3e38f};
+  const Shape shape{3, 6, 5};
+  Node sliced, dense;
+  sliced.value = Tensor(shape);
+  dense.value = Tensor(shape);
+  Pcg32 rng(21);
+  for (int round = 0; round < 40; ++round) {
+    if (round % 9 == 4) {  // another consumer of the whole tensor
+      Tensor g = Tensor::Randn(shape, rng);
+      sliced.AccumulateGrad(g);
+      dense.AccumulateGrad(g);
+      continue;
+    }
+    const int64_t t = rng.Below(6);
+    Tensor step = Tensor::Randn({3, 5}, rng);
+    for (int64_t i = 0; i < step.numel(); ++i) {
+      if (rng.NextFloat() < 0.3f) step.flat(i) = special[rng.Below(8)];
+    }
+    sliced.AccumulateGradTimeStep(t, step);
+    Tensor full(shape);
+    SetTime(full, t, step);
+    dense.AccumulateGrad(full);
+  }
+  ASSERT_EQ(sliced.grad.shape(), dense.grad.shape());
+  EXPECT_EQ(sliced.grad_visits, dense.grad_visits);
+  EXPECT_EQ(std::memcmp(sliced.grad.data(), dense.grad.data(),
+                        sizeof(float) * static_cast<size_t>(NumElements(shape))),
+            0);
 }
 
 TEST(OpsTest, TimeDiffForwardAndGrad) {

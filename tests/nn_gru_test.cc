@@ -1,9 +1,16 @@
 // Tests for the GRU / BiGRU encoders.
 #include "nn/gru.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "autograd/gradcheck.h"
+#include "nn/gru_cell.h"
+#include "tensor/fastmath.h"
 #include "tensor/tensor_ops.h"
 
 namespace dar {
@@ -149,6 +156,135 @@ TEST(GruTest, GradientsReachAllWeights) {
   for (const NamedParameter& p : gru.Parameters()) {
     EXPECT_TRUE(p.variable.has_grad()) << p.name;
     EXPECT_GT(Norm2(p.variable.grad()), 0.0f) << p.name;
+  }
+}
+
+// ---- Vectorized cell against a scalar witness --------------------------------
+//
+// The fused cell's row loops are vectorized (nn/gru.cc); the witness below
+// evaluates the same formulas one element at a time through a call the
+// compiler cannot vectorize. The two must agree bit for bit on every input,
+// including FastExp's clamp edges, non-finite values and floor ties.
+
+/// One forward element of the cell (nn/gru_cell.h), kept out of line so
+/// the witness loop stays scalar.
+[[gnu::noinline]] void WitnessForward(float p0, float p1, float p2, float q0,
+                                      float q1, float q2, float h, float mi,
+                                      bool masked, float* z, float* r,
+                                      float* n, float* out) {
+  const float zv = fastmath::FastSigmoid(p0 + q0);
+  const float rv = fastmath::FastSigmoid(p1 + q1);
+  const float nv = fastmath::FastTanh(p2 + rv * q2);
+  const float hprime = (1.0f - zv) * nv + zv * h;
+  *z = zv;
+  *r = rv;
+  *n = nv;
+  *out = masked ? mi * hprime + (1.0f - mi) * h : hprime;
+}
+
+/// One backward element of the cell.
+[[gnu::noinline]] void WitnessBackward(float g, float zv, float rv, float nv,
+                                       float q2, float h, float mi, float* dp0,
+                                       float* dp1, float* dp2, float* dq2,
+                                       float* dh) {
+  const float gm = g * mi;
+  const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
+  *dp1 = dt * q2 * rv * (1.0f - rv);
+  *dp0 = gm * (h - nv) * zv * (1.0f - zv);
+  *dp2 = dt;
+  *dq2 = dt * rv;
+  *dh = gm * zv + g * (1.0f - mi);
+}
+
+/// Gate inputs that reach FastExp at its clamp edges (±87, ±88 and just
+/// past them), non-finite values, and a dense run of floats around the
+/// points where FastExp's round(x / ln 2) lands exactly on .5 (floor ties).
+std::vector<float> SpecialInputs() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> v = {0.0f,   -0.0f,  87.0f,   -87.0f, 88.0f,  -88.0f,
+                          43.5f,  -43.5f, 44.0f,   -44.0f, 87.5f,  -88.5f,
+                          89.0f,  -90.0f, 1e30f,   -1e30f, inf,    -inf,
+                          nan,    -nan,   1e-40f,  -1e-40f, 0.5f,  -2.5f};
+  for (int k = -6; k <= 6; ++k) {
+    float x = (static_cast<float>(k) - 0.5f) / 1.44269504089f;
+    for (int step = 0; step < 8; ++step) x = std::nextafter(x, -inf);
+    for (int step = 0; step < 16; ++step) {
+      v.push_back(x);
+      v.push_back(-x);
+      v.push_back(-0.5f * x);  // tanh's FastExp sees -2 * input
+      x = std::nextafter(x, inf);
+    }
+  }
+  return v;
+}
+
+bool SameBits(float a, float b) {
+  uint32_t ua = 0, ub = 0;
+  std::memcpy(&ua, &a, sizeof(ua));
+  std::memcpy(&ub, &b, sizeof(ub));
+  return ua == ub;
+}
+
+TEST(GruCellVectorTest, ForwardAndBackwardMatchScalarWitnessBitwise) {
+  const std::vector<float> special = SpecialInputs();
+  Pcg32 rng(77);
+  size_t cursor = 0;
+  // Half the slots take a special value, the rest a random normal one.
+  auto next = [&](float scale) {
+    if (rng.NextFloat() < 0.5f) return special[cursor++ % special.size()];
+    return rng.Normal(0.0f, scale);
+  };
+  for (int64_t hd : {1, 7, 8, 24, 33}) {
+    for (bool masked : {false, true}) {
+      for (int round = 0; round < 8; ++round) {
+        const int64_t b = 5;
+        std::vector<float> p(b * 3 * hd), q(b * 3 * hd), h(b * hd),
+            g(b * hd), mask(b);
+        for (float& x : p) x = next(3.0f);
+        for (float& x : q) x = rng.NextFloat() < 0.25f ? 0.0f : next(3.0f);
+        for (float& x : h) x = next(1.0f);
+        for (float& x : g) x = next(1.0f);
+        const float mask_values[] = {1.0f, 0.0f, 1.0f, 0.5f, 0.0f};
+        for (int64_t i = 0; i < b; ++i) mask[i] = mask_values[i];
+        const float* pm = masked ? mask.data() : nullptr;
+
+        std::vector<float> z(b * hd), r(b * hd), n(b * hd), out(b * hd);
+        GruCellForwardRows(p.data(), q.data(), h.data(), pm, b, hd, z.data(),
+                           r.data(), n.data(), out.data());
+        std::vector<float> dp(b * 3 * hd), dq(b * 3 * hd), dh(b * hd);
+        GruCellBackwardRows(g.data(), z.data(), r.data(), n.data(), q.data(),
+                            h.data(), pm, b, hd, dp.data(), dq.data(),
+                            dh.data());
+
+        for (int64_t i = 0; i < b; ++i) {
+          const float mi = masked ? mask[i] : 1.0f;
+          for (int64_t j = 0; j < hd; ++j) {
+            const int64_t e = i * hd + j, g3 = i * 3 * hd + j;
+            float wz, wr, wn, wout;
+            WitnessForward(p[g3], p[g3 + hd], p[g3 + 2 * hd], q[g3],
+                           q[g3 + hd], q[g3 + 2 * hd], h[e], mi, masked, &wz,
+                           &wr, &wn, &wout);
+            ASSERT_TRUE(SameBits(z[e], wz) && SameBits(r[e], wr) &&
+                        SameBits(n[e], wn) && SameBits(out[e], wout))
+                << "forward hd=" << hd << " masked=" << masked << " i=" << i
+                << " j=" << j << ": z " << z[e] << "/" << wz << " r " << r[e]
+                << "/" << wr << " n " << n[e] << "/" << wn << " out "
+                << out[e] << "/" << wout;
+            float dp0, dp1, dp2, dq2, wdh;
+            WitnessBackward(g[e], z[e], r[e], n[e], q[g3 + 2 * hd], h[e], mi,
+                            &dp0, &dp1, &dp2, &dq2, &wdh);
+            ASSERT_TRUE(SameBits(dp[g3], dp0) && SameBits(dp[g3 + hd], dp1) &&
+                        SameBits(dp[g3 + 2 * hd], dp2) &&
+                        SameBits(dq[g3], dp0) && SameBits(dq[g3 + hd], dp1) &&
+                        SameBits(dq[g3 + 2 * hd], dq2) &&
+                        SameBits(dh[e], wdh))
+                << "backward hd=" << hd << " masked=" << masked << " i=" << i
+                << " j=" << j;
+          }
+        }
+      }
+    }
   }
 }
 

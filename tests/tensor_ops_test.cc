@@ -2,9 +2,12 @@
 #include "tensor/tensor_ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "tensor/fastmath.h"
 #include "tensor/random.h"
 
 namespace dar {
@@ -57,6 +60,59 @@ TEST(UnaryTest, MathFunctions) {
   EXPECT_TRUE(Relu(Tensor::FromVector({-1.0f, 2.0f}))
                   .AllClose(Tensor::FromVector({0.0f, 2.0f})));
   EXPECT_NEAR(Sqrt(Tensor::FromVector({9.0f})).at(0), 3.0f, 1e-5f);
+}
+
+// Scalar witnesses for the vectorized Sigmoid/Tanh kernels: one element per
+// out-of-line call, so the witness loop stays scalar.
+[[gnu::noinline]] float WitnessSigmoid(float x) {
+  return fastmath::FastSigmoid(x);
+}
+[[gnu::noinline]] float WitnessTanh(float x) { return fastmath::FastTanh(x); }
+
+uint32_t Bits(float x) {
+  uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+TEST(UnaryTest, VectorizedSigmoidTanhMatchScalarWitnessBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // FastExp's clamp edges for both callers (sigmoid passes -x, tanh -2x),
+  // non-finite values, denormals, and dense runs of floats around the
+  // points where round(x / ln 2) sits exactly on .5 (floor ties).
+  std::vector<float> v = {0.0f,  -0.0f,  87.0f,  -87.0f, 88.0f, -88.0f,
+                          43.5f, -43.5f, 44.0f,  -44.0f, 89.0f, -89.0f,
+                          1e30f, -1e30f, inf,    -inf,   nan,   -nan,
+                          1e-40f, -1e-40f};
+  for (int k = -8; k <= 8; ++k) {
+    float x = (static_cast<float>(k) - 0.5f) / 1.44269504089f;
+    for (int step = 0; step < 8; ++step) x = std::nextafter(x, -inf);
+    for (int step = 0; step < 16; ++step) {
+      v.push_back(-x);
+      v.push_back(-0.5f * x);
+      x = std::nextafter(x, inf);
+    }
+  }
+  Pcg32 rng(5);
+  for (int i = 0; i < 1000; ++i) v.push_back(rng.Normal(0.0f, 20.0f));
+  // Lengths that exercise the scalar tail alone, whole vectors, and both.
+  for (size_t len : {size_t{1}, size_t{7}, size_t{8}, size_t{33}, v.size()}) {
+    for (size_t offset = 0; offset + len <= v.size(); offset += len) {
+      Tensor a = Tensor::FromVector(
+          std::vector<float>(v.begin() + static_cast<std::ptrdiff_t>(offset),
+                             v.begin() +
+                                 static_cast<std::ptrdiff_t>(offset + len)));
+      const Tensor s = Sigmoid(a);
+      const Tensor t = Tanh(a);
+      for (int64_t i = 0; i < a.numel(); ++i) {
+        ASSERT_EQ(Bits(s.at(i)), Bits(WitnessSigmoid(a.at(i))))
+            << "sigmoid(" << a.at(i) << ")";
+        ASSERT_EQ(Bits(t.at(i)), Bits(WitnessTanh(a.at(i))))
+            << "tanh(" << a.at(i) << ")";
+      }
+    }
+  }
 }
 
 TEST(UnaryTest, LogClampsNearZero) {
